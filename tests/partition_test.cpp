@@ -9,6 +9,7 @@
 #include "partition/algorithms.hpp"
 #include "seq/golden.hpp"
 #include "stim/stimulus.hpp"
+#include "util/rng.hpp"
 
 namespace plsim {
 namespace {
@@ -210,6 +211,98 @@ TEST(PartitionWeighted, UnweightedMultilevelMatchesPreWeightGoldens) {
     for (const Golden& g : kGoldens) {
       if (g.size != size) continue;
       const Partition p = partition_multilevel(c, g.k, g.seed);
+      EXPECT_EQ(partition_sig(p), g.sig)
+          << "size=" << g.size << " k=" << g.k << " seed=" << g.seed;
+      EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut)
+          << "size=" << g.size << " k=" << g.k << " seed=" << g.seed;
+    }
+  }
+}
+
+struct MultilevelGolden {
+  std::uint32_t size, k;
+  std::uint64_t circuit_seed, seed, sig, cut;
+};
+
+TEST(PartitionWeighted, UnweightedMultilevelMatchesPreHeapGoldens) {
+  // Goldens captured from the tree immediately before refinement picked its
+  // moves from indexed gain heaps instead of a linear scan over all
+  // vertices. The 6000-gate unit-weight circuits are the plsimd cold-job
+  // shape; the heap must reproduce the scan's (gain desc, index asc) choice
+  // move for move. Circuit seed 18 at k = 4 also runs balance restoration
+  // with unit gate weights: a projected coarse partition lands outside the
+  // finer level's window.
+  static constexpr MultilevelGolden kGoldens[] = {
+      {6000, 2, 1, 1, 0x5faef9f1ad603f11ull, 1010},
+      {6000, 2, 1, 7, 0xe41c7a49265b06c1ull, 945},
+      {6000, 4, 1, 1, 0xad32a8e3edf8d130ull, 1619},
+      {6000, 4, 1, 7, 0xa456b2f9e3734b4bull, 1616},
+      {6000, 2, 2, 1, 0xc99ac0bd58e44a9dull, 1047},
+      {6000, 2, 2, 7, 0xfee20f15b5c5dabbull, 894},
+      {6000, 4, 2, 1, 0x92a974b85bf64ed8ull, 1716},
+      {6000, 4, 2, 7, 0x58958d407d02efd2ull, 1501},
+      {6000, 4, 18, 1, 0xf3d057ed4ffa4814ull, 1567},
+  };
+  for (std::uint64_t circuit_seed : {1u, 2u, 18u}) {
+    const Circuit c = scaled_circuit(6000, circuit_seed);
+    for (const MultilevelGolden& g : kGoldens) {
+      if (g.circuit_seed != circuit_seed) continue;
+      const Partition p = partition_multilevel(c, g.k, g.seed);
+      EXPECT_EQ(partition_sig(p), g.sig)
+          << "circuit_seed=" << circuit_seed << " k=" << g.k
+          << " seed=" << g.seed;
+      EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut)
+          << "circuit_seed=" << circuit_seed << " k=" << g.k
+          << " seed=" << g.seed;
+    }
+  }
+}
+
+/// Skewed activity: 2% of gates near UINT32_MAX, 8% below 10^6, the rest
+/// below 8. Supernodes built from such gates overshoot the finer levels'
+/// balance window, so refinement's balance restoration fires on these
+/// inputs (about 1500 restoration moves over the table below).
+std::vector<std::uint32_t> skewed_weights(std::size_t n, std::uint64_t salt) {
+  std::vector<std::uint32_t> w(n);
+  std::uint64_t state = salt;
+  for (std::size_t g = 0; g < n; ++g) {
+    const std::uint64_t h = splitmix64_next(state);
+    const std::uint64_t r = h % 100;
+    if (r < 2)
+      w[g] = 0xFFFFFFFFu - static_cast<std::uint32_t>((h >> 32) % 1000);
+    else if (r < 10)
+      w[g] = static_cast<std::uint32_t>((h >> 32) % 1000000);
+    else
+      w[g] = static_cast<std::uint32_t>((h >> 32) % 8);
+  }
+  return w;
+}
+
+TEST(PartitionWeighted, WeightedMultilevelMatchesPreHeapGoldens) {
+  // Captured alongside the unit-weight table above, with skewed vertex and
+  // net weights: these pin the balance-restoration loop and the partially
+  // feasible heap walks that unit weights never reach.
+  static constexpr MultilevelGolden kGoldens[] = {
+      {1500, 2, 3, 1, 0x0b3176b060cef18aull, 222},
+      {1500, 2, 3, 7, 0x2559f80b0c2bdb46ull, 230},
+      {1500, 3, 3, 1, 0xf8fdd1672dc9965full, 488},
+      {1500, 3, 3, 7, 0x4b350b0f24ff9697ull, 318},
+      {1500, 8, 3, 1, 0xd7bce1c1ea64911aull, 387},
+      {1500, 8, 3, 7, 0xca7e172254657254ull, 788},
+      {3000, 2, 3, 1, 0xfa68e7b6116b6c5aull, 756},
+      {3000, 2, 3, 7, 0xa594171ecbcc3c19ull, 591},
+      {3000, 3, 3, 1, 0xdfb413af17ccb01eull, 853},
+      {3000, 3, 3, 7, 0x81d3f7e0208ab189ull, 692},
+      {3000, 8, 3, 1, 0x11be56b24d5bde70ull, 1600},
+      {3000, 8, 3, 7, 0x58dd4ca7e6bbf126ull, 1163},
+  };
+  for (std::uint32_t size : {1500u, 3000u}) {
+    const Circuit c = scaled_circuit(size, 3);
+    const auto w = skewed_weights(c.gate_count(), 11);
+    const auto nw = skewed_weights(c.gate_count(), 23);
+    for (const MultilevelGolden& g : kGoldens) {
+      if (g.size != size) continue;
+      const Partition p = partition_multilevel(c, g.k, g.seed, w, nw);
       EXPECT_EQ(partition_sig(p), g.sig)
           << "size=" << g.size << " k=" << g.k << " seed=" << g.seed;
       EXPECT_EQ(evaluate_partition(c, p).cut_edges, g.cut)
