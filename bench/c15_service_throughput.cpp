@@ -5,10 +5,19 @@
 //       compiles the full rig — multilevel partition, plan optimization,
 //       routing, SimPlan — and parks it in the plan cache; every repeat job
 //       instantiates fresh simulators on the shared immutable rig and skips
-//       compilation. The bench asserts warm median < 0.5x cold (exits
-//       nonzero otherwise) and golden-compares the cache counters that prove
-//       the warm jobs never compiled. Warm results must be bit-identical to
-//       the cold one (same wave digest).
+//       compilation. The bench asserts warm median < 0.5x cold median
+//       (exits nonzero otherwise) and golden-compares the cache counters
+//       that prove the warm jobs never compiled. Warm results must be
+//       bit-identical to the cold one (same wave digest). The cold side is
+//       the median of 3 cold jobs: the first on the service the warm jobs
+//       hit, two more each on a fresh Service, spread among the warm runs.
+//       The ratio is taken over the CPU time of the thread that runs the
+//       job, where compilation happens. Wall time is reported, not gated:
+//       under a full `ctest -j4` on a shared 4-vCPU host the engine's 4
+//       yield-spinning threads stretch both sides to hundreds of ms. The
+//       wall ratio crossed 0.5 in 3 of 7 such runs, and so did a process
+//       CPU-time ratio, which counts the spinning; the thread CPU-time
+//       ratio read 0.015–0.017.
 //
 //   (B) A 1000-job mixed replay — hot-key skew across 4 circuits, cold-key
 //       churn, packed-plane oblivious sweeps, golden and fault jobs — pushed
@@ -27,6 +36,7 @@
 // count in the golden is exact.
 
 #include <algorithm>
+#include <ctime>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -122,12 +132,24 @@ std::uint64_t request_identity(const JobRequest& r) {
   return k;
 }
 
+/// CPU time consumed so far by the calling thread.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 double percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const double idx = p * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(idx);
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   return sorted[lo] + (sorted[hi] - sorted[lo]) * (idx - static_cast<double>(lo));
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return percentile(v, 0.5);
 }
 
 }  // namespace
@@ -139,6 +161,7 @@ int main(int argc, char** argv) {
   // --- (A) cold vs warm: the plan cache skips compilation ------------------
   constexpr std::uint64_t kGates = 6000;
   constexpr unsigned kWarmRuns = 8;
+  constexpr unsigned kColdRuns = 3;
   std::cout << "C15.A: cold vs warm job latency, scaled circuit ("
             << kGates << " gates requested), sync engine, P = 4\n\n";
   {
@@ -146,45 +169,74 @@ int main(int argc, char** argv) {
     Service service(ServiceConfig{});
     const JobRequest req = hot_job(kGates, /*circuit_seed=*/7, "sync");
 
-    WallTimer cold_timer;
-    const JobResponse cold = service.execute_now(req);
-    const double cold_s = cold_timer.seconds();
-    if (!cold.ok || cold.cache != "miss") {
-      std::cerr << "c15: cold job expected ok+miss, got cache=" << cold.cache
-                << " error=" << cold.error << "\n";
-      failed = true;
-    }
+    // Each job's wall time, and the CPU time of the thread that runs it:
+    // compilation runs there, while the engine threads it waits on are
+    // the same work on both sides.
+    struct Times {
+      std::vector<double> wall, cpu;
+      double med_wall() const { return median(wall); }
+      double med_cpu() const { return median(cpu); }
+    };
+    Times cold_t, warm_t;
+    const auto timed_job = [&](Service& svc, Times& t) {
+      WallTimer timer;
+      const double cpu0 = thread_cpu_seconds();
+      JobResponse resp = svc.execute_now(req);
+      t.cpu.push_back(thread_cpu_seconds() - cpu0);
+      t.wall.push_back(timer.seconds());
+      return resp;
+    };
+    const auto check_cold = [&](const JobResponse& resp) {
+      if (!resp.ok || resp.cache != "miss") {
+        std::cerr << "c15: cold job expected ok+miss, got cache=" << resp.cache
+                  << " error=" << resp.error << "\n";
+        failed = true;
+      }
+    };
+    const JobResponse cold = timed_job(service, cold_t);
+    check_cold(cold);
 
-    std::vector<double> warm_s;
     std::uint64_t warm_hits = 0, warm_identical = 0;
     for (unsigned i = 0; i < kWarmRuns; ++i) {
-      WallTimer warm_timer;
-      const JobResponse warm = service.execute_now(req);
-      warm_s.push_back(warm_timer.seconds());
+      const JobResponse warm = timed_job(service, warm_t);
       warm_hits += warm.ok && warm.cache == "hit" ? 1 : 0;
       warm_identical += warm.wave_digest == cold.wave_digest ? 1 : 0;
+      // The other cold jobs fall after warm runs 3 and 6.
+      if (i % 3 == 2 && cold_t.wall.size() < kColdRuns) {
+        Service fresh(ServiceConfig{});
+        const JobResponse again = timed_job(fresh, cold_t);
+        check_cold(again);
+        if (again.wave_digest != cold.wave_digest) {
+          std::cerr << "c15: cold jobs disagree on the wave digest\n";
+          failed = true;
+        }
+      }
     }
-    std::sort(warm_s.begin(), warm_s.end());
-    const double warm_med = percentile(warm_s, 0.5);
-    const double ratio = cold_s > 0.0 ? warm_med / cold_s : 1.0;
+    const double ratio = cold_t.med_cpu() > 0.0
+                             ? warm_t.med_cpu() / cold_t.med_cpu()
+                             : 1.0;
 
     const ServiceMetrics m = service.metrics();
-    Table table({"phase", "latency_ms", "plan_cache", "digest"});
-    table.add_row({"cold", Table::fmt(cold_s * 1e3), "miss",
+    Table table({"phase", "latency_ms", "cpu_ms", "plan_cache", "digest"});
+    table.add_row({"cold(med)", Table::fmt(cold_t.med_wall() * 1e3),
+                   Table::fmt(cold_t.med_cpu() * 1e3),
+                   "miss x" + std::to_string(cold_t.wall.size()),
                    Table::fmt(cold.wave_digest)});
-    table.add_row({"warm(med)", Table::fmt(warm_med * 1e3),
+    table.add_row({"warm(med)", Table::fmt(warm_t.med_wall() * 1e3),
+                   Table::fmt(warm_t.med_cpu() * 1e3),
                    "hit x" + std::to_string(warm_hits),
                    Table::fmt(cold.wave_digest)});
     table.print(std::cout);
-    std::cout << "\nwarm/cold ratio " << Table::fmt(ratio)
+    std::cout << "\nwarm/cold cpu ratio " << Table::fmt(ratio)
               << " (required < 0.5)\n";
     if (warm_hits != kWarmRuns || warm_identical != kWarmRuns) {
       std::cerr << "c15: warm jobs must all hit and match the cold digest\n";
       failed = true;
     }
     if (ratio >= 0.5) {
-      std::cerr << "c15: warm median " << warm_med * 1e3 << "ms not < 0.5x cold "
-                << cold_s * 1e3 << "ms\n";
+      std::cerr << "c15: warm median " << warm_t.med_cpu() * 1e3
+                << " cpu ms not < 0.5x cold median "
+                << cold_t.med_cpu() * 1e3 << " cpu ms\n";
       failed = true;
     }
     driver.run()
@@ -193,9 +245,13 @@ int main(int argc, char** argv) {
                       .metric("plan_misses", m.plan_cache.misses)
                       .metric("plan_hits", m.plan_cache.hits)
                       .metric("warm_identical", warm_identical)
-                      .wall("cold_ms", cold_s * 1e3)
-                      .wall("warm_med_ms", warm_med * 1e3)
-                      .wall("warm_cold_ratio", ratio);
+                      .wall("cold_ms", cold_t.med_wall() * 1e3)
+                      .wall("warm_med_ms", warm_t.med_wall() * 1e3)
+                      .wall("warm_cold_ratio",
+                            warm_t.med_wall() / cold_t.med_wall())
+                      .wall("cold_cpu_ms", cold_t.med_cpu() * 1e3)
+                      .wall("warm_cpu_med_ms", warm_t.med_cpu() * 1e3)
+                      .wall("warm_cold_cpu_ratio", ratio);
   }
 
   // --- (B) mixed 1000-job replay through the sharded pool ------------------

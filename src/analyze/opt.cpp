@@ -1,11 +1,12 @@
 #include "analyze/opt.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "netlist/builder.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace plsim {
 namespace {
@@ -23,6 +24,14 @@ std::vector<std::uint8_t> mask_of(std::size_t n, std::span<const GateId> ids) {
     if (g < n) m[g] = 1;
   return m;
 }
+
+struct StructuralKeyHash {
+  std::size_t operator()(const std::vector<std::uint64_t>& key) const {
+    std::uint64_t h = key.size();
+    for (std::uint64_t x : key) h = hash_combine(h, x);
+    return static_cast<std::size_t>(h);
+  }
+};
 
 bool commutative(GateType t) {
   switch (t) {
@@ -239,11 +248,15 @@ OptimizedCircuit optimize_circuit(const Circuit& c, const OptOptions& opts) {
   // ---- Pass 2: structural hashing --------------------------------------
   // Two gates with the same post-fold (type, delay, onset-if-constant,
   // substituted fanin tuple) produce identical event streams. Processed in
-  // level order so representatives are final before their consumers hash.
+  // level order so representatives are final before their consumers hash;
+  // the first gate to insert a key is its representative, so the table's
+  // own iteration order never matters.
   std::vector<GateId> repl(n);
   for (GateId g = 0; g < n; ++g) repl[g] = g;
   if (any_root) {
-    std::map<std::vector<std::uint64_t>, GateId> table;
+    std::unordered_map<std::vector<std::uint64_t>, GateId, StructuralKeyHash>
+        table;
+    table.reserve(n);
     std::vector<std::uint64_t> key;
     for (GateId g : c.level_order()) {
       const GateType t = vtype(g);
@@ -260,7 +273,7 @@ OptimizedCircuit optimize_circuit(const Circuit& c, const OptOptions& opts) {
       if (commutative(t))
         std::sort(key.begin() + static_cast<std::ptrdiff_t>(fanin_start),
                   key.end());
-      auto [it, inserted] = table.emplace(key, g);
+      auto [it, inserted] = table.try_emplace(key, g);
       if (!inserted && !keep[g]) {
         repl[g] = it->second;
         ++out.stats.merged;

@@ -111,6 +111,7 @@ Circuit NetlistBuilder::build() {
   PLSIM_CHECK(n > 0, "build: empty netlist");
 
   std::unordered_set<std::string> seen_names;
+  seen_names.reserve(n);
   for (const auto& p : gates_) {
     if (!p.name.empty()) {
       PLSIM_CHECK(seen_names.insert(p.name).second,

@@ -4,7 +4,10 @@
 // descending, then vertex index ascending. That order is exactly the one a
 // strict-`>` scan over ascending indices picks by, so refinement driven by
 // the heap reproduces the scan's partitions move for move. Each vertex's heap
-// position is tracked, so an erase or a gain update costs O(log n).
+// position is tracked, so an erase or a gain update costs O(log n); build()
+// fills a heap in O(n) with Floyd's bottom-up heapify. Picks depend only on
+// the order, never on the heap's layout, so how a heap was filled cannot
+// change a pick.
 //
 // Refinement may only make moves that keep the bisection balanced, so the
 // pick is constrained: best_if() walks the heap tree without changing it,
@@ -34,10 +37,13 @@ class GainHeap {
 
   bool contains(std::uint32_t v) const { return pos_[v] != kNone; }
 
-  void push(std::uint32_t v) {
-    pos_[v] = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(v);
-    sift_up(pos_[v]);
+  /// Replaces the contents with `vertices` (distinct), in O(n).
+  void build(std::span<const std::uint32_t> vertices) {
+    for (std::uint32_t v : heap_) pos_[v] = kNone;
+    heap_.assign(vertices.begin(), vertices.end());
+    for (std::uint32_t i = 0; i < heap_.size(); ++i) pos_[heap_[i]] = i;
+    for (std::size_t i = heap_.size() / 2; i-- > 0;)
+      sift_down(static_cast<std::uint32_t>(i));
   }
 
   void erase(std::uint32_t v) {

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <algorithm>
 #include <limits>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "partition/algorithms.hpp"
@@ -65,6 +66,34 @@ struct MlGraph {
   }
 };
 
+/// Per-vertex edge merge: neighbour -> summed edge weight. The graph
+/// builders below keep one per vertex, all carved from one arena that lives
+/// for the call, so a level costs a few large allocations instead of one
+/// per node and bucket array. libstdc++'s bucket and rehash policy does not
+/// depend on the allocator, so each map iterates in the order a default-
+/// allocated one would, and that order is the adjacency order matching and
+/// the BFS seed read: partitions depend on it. Never reserve() or rehash()
+/// these maps; either changes bucket counts and so the order.
+using EdgeMerge = std::pmr::unordered_map<std::uint32_t, std::uint64_t>;
+
+/// Fills g's CSR adjacency from the merged edges, in map iteration order.
+void set_adjacency(MlGraph& g, const std::pmr::vector<EdgeMerge>& nbr) {
+  const std::size_t n = nbr.size();
+  g.off.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    g.off[i + 1] = g.off[i] + static_cast<std::uint32_t>(nbr[i].size());
+  g.adj.resize(g.off[n]);
+  g.wedge.resize(g.off[n]);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint32_t k = g.off[i];
+    for (auto [u, w] : nbr[i]) {
+      g.adj[k] = u;
+      g.wedge[k] = w;
+      ++k;
+    }
+  }
+}
+
 /// `gate_w` / `net_w` are global-gate-indexed activity weights (empty =
 /// unit). Each fanin connection f -> cells[i] contributes the weight of the
 /// net driven by f.
@@ -73,7 +102,8 @@ MlGraph from_circuit(const Circuit& c, std::span<const GateId> cells,
                      std::span<const std::uint64_t> gate_w,
                      std::span<const std::uint64_t> net_w) {
   const std::size_t n = cells.size();
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> nbr(n);
+  std::pmr::monotonic_buffer_resource arena;  // declared first: outlives nbr
+  std::pmr::vector<EdgeMerge> nbr(n, &arena);
   for (std::size_t i = 0; i < n; ++i) {
     for (GateId f : c.fanins(cells[i])) {
       const std::uint32_t lf = local_of[f];
@@ -88,19 +118,7 @@ MlGraph from_circuit(const Circuit& c, std::span<const GateId> cells,
   g.wvert.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     g.wvert[i] = gate_w.empty() ? 1 : gate_w[cells[i]];
-  g.off.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    g.off[i + 1] = g.off[i] + static_cast<std::uint32_t>(nbr[i].size());
-  g.adj.resize(g.off[n]);
-  g.wedge.resize(g.off[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t k = g.off[i];
-    for (auto [u, w] : nbr[i]) {
-      g.adj[k] = u;
-      g.wedge[k] = w;
-      ++k;
-    }
-  }
+  set_adjacency(g, nbr);
   return g;
 }
 
@@ -134,7 +152,8 @@ MlGraph coarsen(const MlGraph& g, Rng& rng, std::vector<std::uint32_t>& map) {
 
   // Build the coarse graph. Edges absorbed inside a supernode leave the
   // graph; everything else must survive weight-for-weight.
-  std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> nbr(coarse);
+  std::pmr::monotonic_buffer_resource arena;  // declared first: outlives nbr
+  std::pmr::vector<EdgeMerge> nbr(coarse, &arena);
   MlGraph cg;
   std::uint64_t absorbed = 0;
   cg.wvert.assign(coarse, 0);
@@ -148,19 +167,7 @@ MlGraph coarsen(const MlGraph& g, Rng& rng, std::vector<std::uint32_t>& map) {
         absorbed += g.wedge[e];
     }
   }
-  cg.off.assign(coarse + 1, 0);
-  for (std::uint32_t i = 0; i < coarse; ++i)
-    cg.off[i + 1] = cg.off[i] + static_cast<std::uint32_t>(nbr[i].size());
-  cg.adj.resize(cg.off[coarse]);
-  cg.wedge.resize(cg.off[coarse]);
-  for (std::uint32_t i = 0; i < coarse; ++i) {
-    std::uint32_t k = cg.off[i];
-    for (auto [u, w] : nbr[i]) {
-      cg.adj[k] = u;
-      cg.wedge[k] = w;
-      ++k;
-    }
-  }
+  set_adjacency(cg, nbr);
 
   if (ml_audit_enabled()) {
     // Conservation invariants: a supernode weighs exactly what its
@@ -194,23 +201,28 @@ std::vector<std::int64_t> cut_gains(const MlGraph& g,
   return gain;
 }
 
-/// Moves `v` to the other side and updates its neighbours' gains and their
-/// places on the heaps. `v` itself must already be off its heap.
-void move_vertex(const MlGraph& g, std::uint32_t v,
-                 std::vector<std::uint8_t>& side,
-                 std::vector<std::int64_t>& gain, GainHeap (&heap)[2]) {
+/// Moves `v` to the other side and keeps every gain exact: each edge at `v`
+/// switches between cut and uncut, so gain[v] changes sign and each
+/// neighbour's gain moves by twice the edge weight. With `heap` (the two
+/// per-side heaps; `v` already off its own), each neighbour is re-sifted
+/// right after its gain changes — sifting only after all of them changed
+/// would break heap order. Roll-backs pass no heap.
+void flip(const MlGraph& g, std::uint32_t v, std::vector<std::uint8_t>& side,
+          std::vector<std::int64_t>& gain, GainHeap* heap = nullptr) {
   side[v] = 1 - side[v];
+  gain[v] = -gain[v];
   for (std::uint32_t e = g.off[v]; e < g.off[v + 1]; ++e) {
     const std::uint32_t u = g.adj[e];
     gain[u] += (side[u] == side[v]) ? -2 * static_cast<std::int64_t>(g.wedge[e])
                                     : 2 * static_cast<std::int64_t>(g.wedge[e]);
-    heap[side[u]].update(u);
+    if (heap != nullptr) heap[side[u]].update(u);
   }
 }
 
 /// Boundary FM refinement on the graph edge-cut. `ratio` = target weight
 /// share of side 0. Every move is the highest-gain admissible vertex, ties
-/// to the lowest index, taken from one gain heap per side.
+/// to the lowest index, taken from one gain heap per side. Gains are
+/// computed once per call; flip() keeps them exact from then on.
 void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
   const std::size_t n = g.n();
   std::uint64_t total = 0;
@@ -223,6 +235,32 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
   const double tol = std::max<double>(static_cast<double>(maxw),
                                       0.03 * static_cast<double>(total));
   const double lo = target0 - tol, hi = target0 + tol;
+
+  std::vector<std::int64_t> gain = cut_gains(g, side);
+  GainHeap heap[2] = {GainHeap(gain), GainHeap(gain)};
+  std::vector<std::uint32_t> members[2];
+  std::uint64_t wmin[2], wmax[2];
+  // Puts every vertex on its side's heap and returns side 0's weight. The
+  // weight range per side feeds the O(1) filter that skips a side no move
+  // off it can keep balanced.
+  const auto fill_heaps = [&] {
+    std::uint64_t w0 = 0;
+    for (std::uint8_t s : {0, 1}) {
+      members[s].clear();
+      wmin[s] = std::numeric_limits<std::uint64_t>::max();
+      wmax[s] = 0;
+    }
+    for (std::uint32_t v = 0; v < n; ++v) {
+      const std::uint8_t s = side[v];
+      members[s].push_back(v);
+      wmin[s] = std::min(wmin[s], g.wvert[v]);
+      wmax[s] = std::max(wmax[s], g.wvert[v]);
+      if (s == 0) w0 += g.wvert[v];
+    }
+    heap[0].build(members[0]);
+    heap[1].build(members[1]);
+    return w0;
+  };
 
   // Balance restoration. The FM passes below only accept moves that LAND
   // inside the tolerance window, so a partition that arrives outside it —
@@ -242,9 +280,7 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
       return static_cast<double>(w0) > hi || static_cast<double>(w0) < lo;
     };
     if (outside()) {
-      std::vector<std::int64_t> gain = cut_gains(g, side);
-      GainHeap heap[2] = {GainHeap(gain), GainHeap(gain)};
-      for (std::uint32_t v = 0; v < n; ++v) heap[side[v]].push(v);
+      fill_heaps();
       do {
         const std::uint8_t heavy = static_cast<double>(w0) > target0 ? 0 : 1;
         const double gap = heavy == 0 ? static_cast<double>(w0) - target0
@@ -257,25 +293,20 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
         if (best == GainHeap::kNone) break;
         heap[heavy].erase(best);
         w0 = heavy == 0 ? w0 - g.wvert[best] : w0 + g.wvert[best];
-        move_vertex(g, best, side, gain, heap);
+        flip(g, best, side, gain, heap);
       } while (outside());
     }
   }
 
   for (int pass = 0; pass < 4; ++pass) {
-    std::vector<std::int64_t> gain = cut_gains(g, side);
-    // On a heap = not yet moved this pass. The weight range per side feeds
-    // the O(1) filter that skips a side no move off it can keep balanced.
-    GainHeap heap[2] = {GainHeap(gain), GainHeap(gain)};
-    std::uint64_t wmin[2] = {std::numeric_limits<std::uint64_t>::max(),
-                             std::numeric_limits<std::uint64_t>::max()};
-    std::uint64_t wmax[2] = {0, 0};
-    BalanceWindow window{side_weight(g, side, 0), lo, hi};
-    for (std::uint32_t v = 0; v < n; ++v) {
-      heap[side[v]].push(v);
-      wmin[side[v]] = std::min(wmin[side[v]], g.wvert[v]);
-      wmax[side[v]] = std::max(wmax[side[v]], g.wvert[v]);
+    if (ml_audit_enabled()) {
+      // Gains carried through every flip() since the last full count —
+      // restoration, the previous pass and its roll-back — must still be
+      // exact: a drift here silently changes which move comes next.
+      PLSIM_ASSERT(gain == cut_gains(g, side));
     }
+    // On a heap = not yet moved this pass.
+    BalanceWindow window{fill_heaps(), lo, hi};
     const auto admitted = [&](std::uint32_t v) {
       return window.admits(g.wvert[v], side[v]);
     };
@@ -298,7 +329,7 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
       acc += gain[best];
       moves.push_back(best);
       cumulative.push_back(acc);
-      move_vertex(g, best, side, gain, heap);
+      flip(g, best, side, gain, heap);
     }
 
     std::size_t best_prefix = 0;
@@ -310,7 +341,7 @@ void refine(const MlGraph& g, double ratio, std::vector<std::uint8_t>& side) {
       }
     }
     for (std::size_t i = moves.size(); i > best_prefix; --i)
-      side[moves[i - 1]] = 1 - side[moves[i - 1]];
+      flip(g, moves[i - 1], side, gain);
     if (best_acc <= 0) break;
   }
 }

@@ -463,5 +463,61 @@ TEST(AnalyzeFuzz, NineValuedObservablesAgreeAfterSafeOptimization) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Representative choice
+
+struct RepresentativeGolden {
+  const char* family;
+  std::uint64_t a, b, seed;  // scaled: (gates, seed, -); modules: (n, size, seed)
+  PlanOpt level;
+  std::uint64_t old_to_new_sig;
+  std::size_t merged, gates_after;
+};
+
+TEST(AnalyzeOpt, RepresentativeChoiceMatchesOrderedTableGoldens) {
+  // Structural hashing keeps the first gate (in level order) to insert a
+  // key as the representative and maps later duplicates onto it. These
+  // signatures of old_to_new were captured while the table was an ordered
+  // std::map; a hashed table must reproduce them, since the mapping feeds
+  // the partition remap, routing and every digest downstream.
+  static constexpr RepresentativeGolden kGoldens[] = {
+      {"scaled", 6000, 1, 0, PlanOpt::Safe, 0x69626e4cc67ef201ull, 33, 4822},
+      {"scaled", 6000, 1, 0, PlanOpt::Aggressive, 0xfeaee5b997e0a4abull, 88,
+       4753},
+      {"scaled", 6000, 2, 0, PlanOpt::Safe, 0xc21193854a83575aull, 28, 4796},
+      {"scaled", 6000, 2, 0, PlanOpt::Aggressive, 0x50ecf1a3a2d57757ull, 64,
+       4754},
+      {"modules", 8, 500, 3, PlanOpt::Safe, 0xdffc992280678695ull, 16, 2826},
+      {"modules", 8, 500, 3, PlanOpt::Aggressive, 0xd33d0255934b1540ull, 17,
+       2823},
+      {"modules", 16, 250, 5, PlanOpt::Safe, 0xe6b0aa9c6ab57e1dull, 21, 2512},
+      {"modules", 16, 250, 5, PlanOpt::Aggressive, 0x42c2634aaa1ec874ull, 23,
+       2505},
+  };
+  for (const RepresentativeGolden& g : kGoldens) {
+    const Circuit c =
+        std::string_view(g.family) == "scaled"
+            ? scaled_circuit(static_cast<std::size_t>(g.a), g.b)
+            : module_array(static_cast<std::uint32_t>(g.a),
+                           static_cast<std::size_t>(g.b), g.seed);
+    OptOptions oo;
+    oo.level = g.level;
+    if (g.level == PlanOpt::Aggressive) oo.clock_period = settling_period(c);
+    const OptimizedCircuit o = optimize_circuit(c, oo);
+    std::uint64_t sig = 1469598103934665603ull;  // FNV-1a over old_to_new
+    for (GateId ng : o.old_to_new) {
+      sig ^= ng;
+      sig *= 1099511628211ull;
+    }
+    const std::string row = std::string(g.family) + " " +
+                            std::to_string(g.a) + "/" + std::to_string(g.b) +
+                            "/" + std::to_string(g.seed) + " " +
+                            std::string(plan_opt_name(g.level));
+    EXPECT_EQ(sig, g.old_to_new_sig) << row;
+    EXPECT_EQ(o.stats.merged, g.merged) << row;
+    EXPECT_EQ(o.stats.gates_after, g.gates_after) << row;
+  }
+}
+
 }  // namespace
 }  // namespace plsim

@@ -2,7 +2,9 @@
 // (src/partition/gain_heap.hpp) against the linear scan it replaced: for
 // random gains with many ties, random 64-bit weights, random balance windows
 // and interleaved gain updates, erases and re-inserts, every constrained
-// pick must name the same vertex the scan names.
+// pick must name the same vertex the scan names. Heaps are filled only by
+// build() (Floyd's bottom-up heapify), from shuffled vertex lists, as
+// refinement fills them at the start of every pass.
 
 #include <gtest/gtest.h>
 
@@ -61,9 +63,22 @@ std::uint64_t random_weight(Rng& rng, int regime) {
   }
 }
 
+/// Refills `heap` with the present vertices on side `s`, in random order.
+void rebuild(GainHeap& heap, std::uint8_t s,
+             const std::vector<std::uint8_t>& side,
+             const std::vector<std::uint8_t>& present, Rng& rng) {
+  std::vector<std::uint32_t> members;
+  for (std::uint32_t v = 0; v < side.size(); ++v)
+    if (present[v] && side[v] == s) members.push_back(v);
+  for (std::size_t i = members.size(); i > 1; --i)
+    std::swap(members[i - 1], members[rng.uniform(i)]);
+  heap.build(members);
+}
+
 TEST(GainHeap, ConstrainedPicksMatchLinearScan) {
   Rng rng(0x6a1e);
   std::size_t picks = 0, admitted_picks = 0, sides_ruled_out = 0;
+  std::size_t builds = 0;
   while (picks < 120000) {
     const std::uint32_t n = static_cast<std::uint32_t>(rng.range(1, 300));
     const int regime = static_cast<int>(rng.uniform(5));
@@ -75,8 +90,9 @@ TEST(GainHeap, ConstrainedPicksMatchLinearScan) {
       gain[v] = random_gain(rng);
       weight[v] = random_weight(rng, regime);
       side[v] = static_cast<std::uint8_t>(rng.uniform(2));
-      heap[side[v]].push(v);
     }
+    for (std::uint8_t s : {0, 1}) rebuild(heap[s], s, side, present, rng);
+    builds += 2;
 
     for (int op = 0; op < 400; ++op) {
       const std::uint32_t v = static_cast<std::uint32_t>(rng.uniform(n));
@@ -89,9 +105,11 @@ TEST(GainHeap, ConstrainedPicksMatchLinearScan) {
           heap[side[v]].erase(v);
           present[v] = 0;
         } else {
+          // Re-insert: rebuild the vertex's new side over its old layout.
           side[v] = static_cast<std::uint8_t>(rng.uniform(2));
-          heap[side[v]].push(v);
           present[v] = 1;
+          rebuild(heap[side[v]], side[v], side, present, rng);
+          ++builds;
         }
       } else if (kind < 45) {
         // Refinement's restoration pick: one side, a weight threshold.
@@ -159,23 +177,37 @@ TEST(GainHeap, ConstrainedPicksMatchLinearScan) {
   EXPECT_GT(admitted_picks, picks / 10);
   EXPECT_GT(picks - admitted_picks, picks / 10);
   EXPECT_GT(sides_ruled_out, picks / 20);
+  EXPECT_GT(builds, picks / 20);
 }
 
 TEST(GainHeap, OrdersByGainThenIndex) {
   std::vector<std::int64_t> gain = {3, 7, 7, -2, 7, 3};
   GainHeap heap(gain);
-  for (std::uint32_t v : {5u, 3u, 4u, 0u, 2u, 1u}) heap.push(v);
   const auto any = [](std::uint32_t) { return true; };
-  std::vector<std::uint32_t> order;
-  for (std::size_t i = 0; i < gain.size(); ++i) {
-    order.push_back(heap.best_if(any));
-    heap.erase(order.back());
+  // Every fill order gives the same pick order.
+  std::vector<std::uint32_t> fill = {5, 3, 4, 0, 2, 1};
+  Rng rng(3);
+  for (int round = 0; round < 20; ++round) {
+    heap.build(fill);
+    std::vector<std::uint32_t> order;
+    for (std::size_t i = 0; i < gain.size(); ++i) {
+      order.push_back(heap.best_if(any));
+      heap.erase(order.back());
+    }
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 4, 0, 5, 3}));
+    EXPECT_EQ(heap.best_if(any), GainHeap::kNone);
+    for (std::size_t i = fill.size(); i > 1; --i)
+      std::swap(fill[i - 1], fill[rng.uniform(i)]);
   }
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 2, 4, 0, 5, 3}));
-  EXPECT_EQ(heap.best_if(any), GainHeap::kNone);
+
+  // build() replaces the contents: vertices left from before are dropped.
+  heap.build(std::vector<std::uint32_t>{0, 1, 2});
+  heap.build(std::vector<std::uint32_t>{3, 5});
+  EXPECT_FALSE(heap.contains(1));
+  EXPECT_EQ(heap.best_if(any), 5u);
 
   // A gain update re-sorts; an incumbent ahead of every match wins.
-  for (std::uint32_t v = 0; v < gain.size(); ++v) heap.push(v);
+  heap.build(std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5});
   gain[3] = 8;
   heap.update(3);
   EXPECT_EQ(heap.best_if(any), 3u);
