@@ -23,6 +23,7 @@
 #include "engines/lookahead.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
+#include "vp/common.hpp"
 #include "vp/vp.hpp"
 
 namespace plsim {
@@ -374,17 +375,7 @@ VpResult run_conservative_vp(const Circuit& c, const Stimulus& stim,
   for (std::uint32_t pr = 0; pr < n_procs; ++pr)
     r.makespan = std::max(r.makespan, clock[pr]);
 
-  flush_block_activity(tsn, rig);
-
-  RunResult merged = merge_results(c, rig, false);
-  r.final_values = std::move(merged.final_values);
-  r.wave_digest = merged.wave.digest();
-  r.stats.wire_events = merged.stats.wire_events;
-  r.stats.evaluations = merged.stats.evaluations;
-  r.stats.dff_samples = merged.stats.dff_samples;
-  r.stats.batches = merged.stats.batches;
-  r.stats.save_bytes = merged.stats.save_bytes;
-  r.stats.undo_entries = merged.stats.undo_entries;
+  finish_vp_result(r, c, rig, tsn);
   if (aud) {
     // The arrival queue is fully drained before we get here.
     for (std::uint32_t b = 0; b < n_blocks; ++b) aud->set_pending(b, 0);

@@ -12,43 +12,113 @@
 // the cluster's own history (removed on rollback); inter-cluster messages
 // are cancelled with anti-messages (aggressive cancellation).
 
-#include <map>
-#include <optional>
-#include <queue>
-#include <set>
-
-#include "check/auditor.hpp"
-#include "core/block.hpp"
-#include "engines/common.hpp"
-#include "trace/trace.hpp"
-#include "util/rng.hpp"
-#include "vp/vp.hpp"
+#include "vp/optimistic.hpp"
 
 namespace plsim {
 namespace {
 
-struct HbMsg {
-  Message msg;
-  std::uint32_t dst_block = 0;
-  std::uint64_t uid = 0;
-  bool anti = false;
-  bool local = false;  // intra-cluster (undone directly on rollback)
-};
-
-enum class EvKind : std::uint8_t { Arrival, Wake, Gvt };
-
-struct Ev {
-  double at;
-  EvKind kind;
-  std::uint32_t target = 0;  // cluster id
-  HbMsg msg;
-  std::uint64_t seq;
-};
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
+// Clusters are both the nodes and the LPs: the auditor's LPs are the
+// clusters, and intra-cluster messages are internal state, not transport.
+class HybridVp final : public OptimisticVp {
+ public:
+  HybridVp(BlockRig rig, const VpConfig& cfg,
+           const std::vector<std::uint32_t>& cluster_of, std::uint32_t csize)
+      : OptimisticVp("hybrid-vp", cfg, std::move(rig), cluster_of,
+                     identity(cluster_of.back() + 1), 0x517cu),
+        csize_(csize),
+        inter_latency_(cost_.msg_latency * cfg.inter_latency_factor) {
+    // One processor per block, csize per cluster node.
+    r_.procs = static_cast<std::uint32_t>(cluster_of.size());
   }
+
+ private:
+  void send_inter(std::uint32_t k, const TwMsg& m) {
+    charge(k, cost_.msg_send);
+    send_remote(m.dst / csize_, m, clock_[k] + inter_latency_);
+    note_send(k, m, m.dst);
+  }
+
+  // A straggler rolls the whole cluster back. Hybrid clusters always cancel
+  // aggressively: intra-cluster sends vanish from the cluster's own queue,
+  // inter-cluster sends are cancelled with anti-messages.
+  void rollback(std::uint32_t k, Tick t) {
+    double w = cost_.rollback_fixed;
+    std::uint64_t rb_batches = 0;
+    const std::vector<TwMsg> undone = lps_[k].rollback_to(
+        t, false, [&](const BlockSimulator::RollbackStats& rs) {
+          w += rs.entries * cost_.undo_replay;
+          rb_batches += rs.batches;
+        });
+    r_.stats.rolled_back_batches += rb_batches;
+    PLSIM_TRACE_VSPAN(tsn_.lane(k), Rollback, clock_[k], clock_[k] + w, t,
+                      static_cast<std::uint32_t>(rb_batches));
+    charge(k, w);
+    for (const TwMsg& m : undone) {
+      if (m.dst / csize_ == k)
+        lps_[k].annihilate(m);
+      else
+        send_inter(k, m);
+    }
+  }
+
+  void arrive(std::uint32_t k, const TwMsg& m) override {
+    PLSIM_TRACE_VMARK(tsn_.lane(k), Recv, clock_[k], m.msg.time, m.dst);
+    lps_[k].deliver(m, [&](Tick t) { rollback(k, t); });
+    wake(k);
+  }
+
+  // One synchronized cluster timestep: all member blocks process time nt.
+  void work(std::uint32_t k) override {
+    TwLp& cl = lps_[k];
+    const Tick nt = cl.next_batch(horizon_);
+    if (nt >= horizon_) return;
+    const Tick window = cfg_.optimism_window;
+    if (window > 0 && nt > gvt() && nt - gvt() > window) return;
+
+    cl.start_batch(nt);
+    double max_member = 0.0;
+    double send_work = 0.0;
+    std::uint32_t stepped = 0;  // member blocks that actually ran a batch
+    std::vector<TwMsg> to_send;  // dispatched after the step cost is charged
+    for (std::size_t i = 0; i < cl.members(); ++i) {
+      externals_.clear();
+      cl.gather(i, nt, externals_);
+      if (externals_.empty() && cl.member(i).next_internal_time() != nt)
+        continue;
+
+      outputs_.clear();
+      const BatchStats bs = cl.member(i).process_batch(nt, externals_, outputs_);
+      max_member =
+          std::max(max_member, batch_cost(cost_, bs, SaveMode::Incremental));
+      ++stepped;
+      for (const Message& m : outputs_) {
+        for (std::uint32_t dst : rig_.routing.dests[m.gate]) {
+          const TwMsg hm = cl.log_send(nt, m, dst);
+          if (dst / csize_ == k) {
+            send_work += cost_.event;
+            cl.enqueue(hm);
+            ++r_.stats.messages;
+          } else {
+            to_send.push_back(hm);
+          }
+        }
+      }
+    }
+    const double w =
+        (max_member + send_work + cost_.smp_barrier_cost(csize_)) *
+        cfg_.noise(jitter_[k]);
+    PLSIM_TRACE_VSPAN(tsn_.lane(k), Eval, clock_[k], clock_[k] + w, nt,
+                      stepped);
+    clock_[k] += w;
+    r_.busy += w * csize_;  // every member processor occupies the step
+    r_.stats.barriers += csize_;
+    // Network sends depart once the step's computation has finished.
+    for (const TwMsg& hm : to_send) send_inter(k, hm);
+    wake(k);
+  }
+
+  const std::uint32_t csize_;
+  const double inter_latency_;
 };
 
 }  // namespace
@@ -59,314 +129,10 @@ VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
   bopts.clock_period = stim.period;
   bopts.horizon = stim.horizon();
   bopts.save = SaveMode::Incremental;
-  BlockRig rig = make_rig(c, stim, p, bopts);
-
-  const std::uint32_t n_blocks = p.n_blocks;
-  const Tick horizon = bopts.horizon;
-  const CostModel& cost = cfg.cost;
   const std::uint32_t csize = std::max<std::uint32_t>(1, cfg.hybrid_cluster_size);
-  const std::uint32_t n_clusters = (n_blocks + csize - 1) / csize;
-  const double inter_latency = cost.msg_latency * cfg.inter_latency_factor;
-
-  auto cluster_of = [&](std::uint32_t b) { return b / csize; };
-
-  struct Cluster {
-    std::vector<std::uint32_t> blocks;
-    std::multimap<Tick, HbMsg> input_queue;
-    std::multimap<Tick, HbMsg> sent_log;
-    std::vector<std::size_t> env_pos;  // parallel to `blocks`
-    Tick processed_bound = 0;
-    std::uint64_t uid_counter = 0;
-    std::uint64_t fossil_dropped = 0;  ///< input entries erased below GVT
-    double clock = 0.0;
-    bool wake_scheduled = false;
-  };
-  std::vector<Cluster> clusters(n_clusters);
-  for (std::uint32_t b = 0; b < n_blocks; ++b)
-    clusters[cluster_of(b)].blocks.push_back(b);
-  for (auto& cl : clusters) cl.env_pos.assign(cl.blocks.size(), 0);
-
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> des;
-  std::uint64_t des_seq = 0;
-  std::multiset<Tick> inflight;
-  Tick gvt = 0;
-
-  // The auditor's LPs are the clusters: each cluster is one optimistic
-  // super-LP (intra-cluster messages are internal state, not transport).
-  std::optional<Auditor> aud;
-  if (cfg.audit || Auditor::env_enabled())
-    aud.emplace("hybrid-vp", n_clusters, horizon);
-
-  // One lane per cluster (the optimistic super-LP), on the modelled clock.
-  trace::Session tsn("hybrid-vp", n_clusters,
-                     trace::ClockKind::VirtualMilliUnits);
-
-  VpResult r;
-  r.procs = n_blocks;  // one processor per block, csize per cluster node
-  std::vector<Message> externals, outputs;
-  std::vector<Rng> jitter;
-  for (std::uint32_t k = 0; k < n_clusters; ++k)
-    jitter.emplace_back(cfg.jitter_seed ^ (0x517cu + k));
-
-  auto cluster_min = [&](std::uint32_t k) -> Tick {
-    const Cluster& cl = clusters[k];
-    Tick t = kTickInf;
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      t = std::min(t, rig.blocks[cl.blocks[i]]->next_internal_time());
-      const auto& env = rig.env[cl.blocks[i]];
-      if (cl.env_pos[i] < env.size())
-        t = std::min(t, env[cl.env_pos[i]].time);
-    }
-    const auto it = cl.input_queue.lower_bound(cl.processed_bound);
-    if (it != cl.input_queue.end()) t = std::min(t, it->first);
-    return std::min(t, horizon);
-  };
-
-  auto schedule_wake = [&](std::uint32_t k) {
-    if (clusters[k].wake_scheduled) return;
-    clusters[k].wake_scheduled = true;
-    des.push(Ev{clusters[k].clock, EvKind::Wake, k, {}, des_seq++});
-  };
-
-  auto send_inter = [&](std::uint32_t k, const HbMsg& m) {
-    Cluster& cl = clusters[k];
-    cl.clock += cost.msg_send;
-    r.busy += cost.msg_send;
-    inflight.insert(m.msg.time);
-    if (aud) {
-      aud->on_send(k, m.msg.time);
-      aud->on_inflight_add(m.msg.time);
-    }
-    des.push(Ev{cl.clock + inter_latency, EvKind::Arrival,
-                cluster_of(m.dst_block), m, des_seq++});
-    if (m.anti) {
-      PLSIM_TRACE_VMARK(tsn.lane(k), AntiMsg, cl.clock, m.msg.time,
-                        m.dst_block);
-      ++r.stats.anti_messages;
-    } else {
-      PLSIM_TRACE_VMARK(tsn.lane(k), Send, cl.clock, m.msg.time, m.dst_block);
-      ++r.stats.messages;
-    }
-  };
-
-  auto rollback = [&](std::uint32_t k, Tick t) {
-    Cluster& cl = clusters[k];
-    if (cl.processed_bound <= t) return;
-    if (aud) aud->on_rollback(k, t);
-    double w = cost.rollback_fixed;
-    std::uint64_t rb_batches = 0;
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      const auto rs = rig.blocks[cl.blocks[i]]->rollback_to(t);
-      w += rs.entries * cost.undo_replay;
-      r.stats.rolled_back_batches += rs.batches;
-      rb_batches += rs.batches;
-      auto& env = rig.env[cl.blocks[i]];
-      while (cl.env_pos[i] > 0 && env[cl.env_pos[i] - 1].time >= t)
-        --cl.env_pos[i];
-    }
-    PLSIM_TRACE_VSPAN(tsn.lane(k), Rollback, cl.clock, cl.clock + w, t,
-                      static_cast<std::uint32_t>(rb_batches));
-    cl.clock += w;
-    r.busy += w;
-    cl.processed_bound = t;
-    // Undo sends: intra messages vanish from our own queue; inter messages
-    // are cancelled with anti-messages.
-    std::vector<std::pair<Tick, HbMsg>> undone(cl.sent_log.lower_bound(t),
-                                               cl.sent_log.end());
-    cl.sent_log.erase(cl.sent_log.lower_bound(t), cl.sent_log.end());
-    for (auto& [bt, m] : undone) {
-      if (m.local) {
-        auto [lo, hi] = cl.input_queue.equal_range(m.msg.time);
-        for (auto it = lo; it != hi; ++it) {
-          if (it->second.uid == m.uid) {
-            cl.input_queue.erase(it);
-            // Self-cancellation: the undone send vanishes without an anti.
-            if (aud) aud->on_cancel(k);
-            break;
-          }
-        }
-      } else {
-        HbMsg anti = m;
-        anti.anti = true;
-        send_inter(k, anti);
-      }
-    }
-    ++r.stats.rollbacks;
-  };
-
-  auto deliver = [&](std::uint32_t k, const HbMsg& m) {
-    Cluster& cl = clusters[k];
-    if (aud) aud->on_deliver(k, m.msg.time);
-    if (m.msg.time < cl.processed_bound) rollback(k, m.msg.time);
-    if (!m.anti) {
-      cl.input_queue.emplace(m.msg.time, m);
-      if (aud) aud->on_enqueue(k);
-    } else {
-      auto [lo, hi] = cl.input_queue.equal_range(m.msg.time);
-      bool found = false;
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second.uid == m.uid && !it->second.anti) {
-          cl.input_queue.erase(it);
-          found = true;
-          break;
-        }
-      }
-      PLSIM_ASSERT(found);
-      if (aud) aud->on_cancel(k);
-    }
-    schedule_wake(k);
-  };
-
-  // One synchronized cluster timestep: all member blocks process time nt.
-  auto work = [&](std::uint32_t k) {
-    Cluster& cl = clusters[k];
-    const Tick nt = cluster_min(k);
-    if (nt >= horizon) return;
-    if (cfg.optimism_window > 0 && nt > gvt && nt - gvt > cfg.optimism_window)
-      return;
-
-    if (aud) aud->on_batch(k, nt);
-    double max_member = 0.0;
-    double send_work = 0.0;
-    std::uint32_t stepped = 0;  // member blocks that actually ran a batch
-    std::vector<HbMsg> to_send;  // dispatched after the step cost is charged
-    for (std::size_t i = 0; i < cl.blocks.size(); ++i) {
-      const std::uint32_t b = cl.blocks[i];
-      externals.clear();
-      auto& env = rig.env[b];
-      while (cl.env_pos[i] < env.size() && env[cl.env_pos[i]].time == nt)
-        externals.push_back(env[cl.env_pos[i]++]);
-      for (auto [lo, hi] = cl.input_queue.equal_range(nt); lo != hi; ++lo)
-        if (lo->second.dst_block == b && !lo->second.anti)
-          externals.push_back(lo->second.msg);
-      if (externals.empty() &&
-          rig.blocks[b]->next_internal_time() != nt)
-        continue;
-
-      outputs.clear();
-      const BatchStats bs = rig.blocks[b]->process_batch(nt, externals, outputs);
-      max_member = std::max(max_member, batch_cost(cost, bs, bopts.save));
-      ++stepped;
-      for (const Message& m : outputs) {
-        for (std::uint32_t dst : rig.routing.dests[m.gate]) {
-          HbMsg hm{m, dst, (static_cast<std::uint64_t>(k) << 40) |
-                               cl.uid_counter++,
-                   false, cluster_of(dst) == k};
-          cl.sent_log.emplace(nt, hm);
-          if (hm.local) {
-            send_work += cost.event;
-            cl.input_queue.emplace(m.time, hm);
-            if (aud) aud->on_enqueue(k);
-            ++r.stats.messages;
-          } else {
-            to_send.push_back(hm);
-          }
-        }
-      }
-    }
-    cl.processed_bound = tick_add(nt, 1);
-    const double w =
-        (max_member + send_work + cost.smp_barrier_cost(csize)) *
-        cfg.noise(jitter[k]);
-    PLSIM_TRACE_VSPAN(tsn.lane(k), Eval, cl.clock, cl.clock + w, nt, stepped);
-    cl.clock += w;
-    r.busy += w * csize;  // every member processor occupies the step
-    r.stats.barriers += csize;
-    // Network sends depart once the step's computation has finished.
-    for (const HbMsg& hm : to_send) send_inter(k, hm);
-    schedule_wake(k);
-  };
-
-  for (std::uint32_t k = 0; k < n_clusters; ++k) schedule_wake(k);
-  des.push(Ev{cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
-
-  while (!des.empty() && gvt < horizon) {
-    const Ev ev = des.top();
-    des.pop();
-    switch (ev.kind) {
-      case EvKind::Wake:
-        clusters[ev.target].wake_scheduled = false;
-        work(ev.target);
-        break;
-      case EvKind::Arrival: {
-        Cluster& cl = clusters[ev.target];
-        inflight.erase(inflight.find(ev.msg.msg.time));
-        if (aud) aud->on_inflight_remove(ev.msg.msg.time);
-        cl.clock = std::max(cl.clock, ev.at) + cost.msg_recv;
-        r.busy += cost.msg_recv;
-        PLSIM_TRACE_VMARK(tsn.lane(ev.target), Recv, cl.clock,
-                          ev.msg.msg.time, ev.msg.dst_block);
-        deliver(ev.target, ev.msg);
-        break;
-      }
-      case EvKind::Gvt: {
-        Tick new_gvt = inflight.empty() ? horizon : *inflight.begin();
-        for (std::uint32_t k = 0; k < n_clusters; ++k)
-          new_gvt = std::min(new_gvt, cluster_min(k));
-        gvt = std::max(gvt, new_gvt);
-        if (aud) aud->on_gvt(gvt);
-        ++r.stats.gvt_rounds;
-        PLSIM_TRACE_VMARK(tsn.lane(0), GvtRound, ev.at, gvt,
-                          static_cast<std::uint32_t>(r.stats.gvt_rounds));
-        for (std::uint32_t k = 0; k < n_clusters; ++k) {
-          Cluster& cl = clusters[k];
-          double w = cost.barrier_cost(n_clusters) + cost.gvt_per_proc;
-          for (std::uint32_t b : cl.blocks) {
-            const std::size_t dropped = rig.blocks[b]->fossil_collect(gvt);
-            w += dropped * cost.fossil_per_batch;
-          }
-          cl.sent_log.erase(cl.sent_log.begin(),
-                            cl.sent_log.lower_bound(gvt));
-          // Committed inputs below GVT are dead weight; drop them.
-          const auto fossil_end = cl.input_queue.lower_bound(
-              std::min(gvt, cl.processed_bound));
-          cl.fossil_dropped += static_cast<std::uint64_t>(
-              std::distance(cl.input_queue.begin(), fossil_end));
-          cl.input_queue.erase(cl.input_queue.begin(), fossil_end);
-          cl.clock = std::max(cl.clock, ev.at) + w;
-          r.busy += w;
-          schedule_wake(k);
-        }
-        if (gvt < horizon)
-          des.push(Ev{ev.at + cfg.gvt_period, EvKind::Gvt, 0, {}, des_seq++});
-        break;
-      }
-    }
-  }
-
-  for (const Cluster& cl : clusters)
-    r.makespan = std::max(r.makespan, cl.clock);
-
-  if (aud) {
-    // Arrivals still queued in the DES at exit were never delivered.
-    std::vector<std::uint64_t> pending(n_clusters, 0);
-    while (!des.empty()) {
-      const Ev ev = des.top();
-      des.pop();
-      if (ev.kind != EvKind::Arrival) continue;
-      ++pending[ev.target];
-      aud->on_inflight_remove(ev.msg.msg.time);
-    }
-    for (std::uint32_t k = 0; k < n_clusters; ++k) {
-      aud->set_pending(k, pending[k]);
-      aud->set_queue_left(
-          k, clusters[k].input_queue.size() + clusters[k].fossil_dropped);
-    }
-  }
-
-  flush_block_activity(tsn, rig);
-
-  RunResult merged = merge_results(c, rig, false);
-  r.final_values = std::move(merged.final_values);
-  r.wave_digest = merged.wave.digest();
-  r.stats.wire_events = merged.stats.wire_events;
-  r.stats.evaluations = merged.stats.evaluations;
-  r.stats.dff_samples = merged.stats.dff_samples;
-  r.stats.batches = merged.stats.batches;
-  r.stats.save_bytes = merged.stats.save_bytes;
-  r.stats.undo_entries = merged.stats.undo_entries;
-  if (aud) aud->finalize();
-  return r;
+  std::vector<std::uint32_t> cluster_of(p.n_blocks);
+  for (std::uint32_t b = 0; b < p.n_blocks; ++b) cluster_of[b] = b / csize;
+  return HybridVp(make_rig(c, stim, p, bopts), cfg, cluster_of, csize).run(c);
 }
 
 }  // namespace plsim
