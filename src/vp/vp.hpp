@@ -161,7 +161,9 @@ VpResult run_timewarp_vp(const Circuit& c, const Stimulus& stim,
 /// Hybrid hierarchical execution (paper §VI): blocks are grouped into
 /// clusters of hybrid_cluster_size; each cluster steps synchronously on its
 /// own processors while clusters interact optimistically (cluster-granular
-/// rollback, aggressive cancellation). One processor per block.
+/// rollback, aggressive cancellation). One processor per block. Of the Time
+/// Warp knobs it honours optimism_window and gvt_period only: cancellation
+/// is always aggressive and state saving always incremental.
 VpResult run_hybrid_vp(const Circuit& c, const Stimulus& stim,
                        const Partition& p, const VpConfig& cfg);
 

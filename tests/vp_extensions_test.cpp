@@ -217,6 +217,28 @@ TEST(Hybrid, RollsBackAtClusterGranularity) {
   EXPECT_GT(r.stats.rollbacks, 0u);
 }
 
+// Clusters always cancel aggressively, whatever the Time Warp cancellation
+// knob says (perfbench's vp_fig1 runs the hybrid with it set).
+TEST(Hybrid, LazyCancellationFlagHasNoEffect) {
+  Rig rig = make(900, 12, 19);
+  VpConfig aggressive;
+  aggressive.hybrid_cluster_size = 4;
+  VpConfig lazy = aggressive;
+  lazy.lazy_cancellation = true;
+  const VpResult a = run_hybrid_vp(rig.circuit, rig.stim, rig.part, aggressive);
+  const VpResult l = run_hybrid_vp(rig.circuit, rig.stim, rig.part, lazy);
+  expect_match(rig, l, "hybrid lazy flag");
+  EXPECT_GT(a.stats.anti_messages, 0u);
+  EXPECT_EQ(a.makespan, l.makespan);
+  EXPECT_EQ(a.busy, l.busy);
+  EXPECT_EQ(a.stats.rollbacks, l.stats.rollbacks);
+  EXPECT_EQ(a.stats.rolled_back_batches, l.stats.rolled_back_batches);
+  EXPECT_EQ(a.stats.anti_messages, l.stats.anti_messages);
+  EXPECT_EQ(a.stats.messages, l.stats.messages);
+  EXPECT_EQ(a.stats.gvt_rounds, l.stats.gvt_rounds);
+  EXPECT_EQ(a.stats.evaluations, l.stats.evaluations);
+}
+
 TEST(Hybrid, DeterministicPerSeed) {
   Rig rig = make(500, 8, 23);
   VpConfig cfg;
